@@ -6,8 +6,8 @@
 //! this driver additionally enforces retire-exactly-once and completion for
 //! each cell. The per-run robustness counters are written to
 //! `BENCH_CHAOS_SOAK.json` (see `experiments::run_json`). The same matrix
-//! is committed declaratively as `scenarios/chaos_soak.scn` for the `scnd`
-//! experiment server.
+//! is written declaratively in `scenarios/chaos_soak.scn`, which `scn_check`
+//! compiles and the `scn` fuzz and round-trip tests use as corpus.
 //!
 //! ```sh
 //! cargo run --release -p experiments --bin chaos_soak [SCALE] [SEEDS] [--sanitize]

@@ -12,9 +12,12 @@
 //! * the demand-latency p99 bound stays under the run length.
 //!
 //! The per-run counters (including the `overload` block) are written to
-//! `BENCH_OVERLOAD.json` (see `experiments::run_json`). The same matrix is
-//! committed declaratively as `scenarios/overload_soak.scn` for the `scnd`
-//! experiment server.
+//! `BENCH_OVERLOAD.json` (see `experiments::run_json`).
+//! `scenarios/overload_soak.scn` writes the matrix declaratively but pins
+//! the fault-injector seeds to this bin's seed-1 values, where the bin
+//! derives them per run seed (`soak_fault_plans(seed)`); the file is part
+//! of the corpus `scn_check` compiles and the `scn` fuzz and round-trip
+//! tests read.
 //!
 //! ```sh
 //! cargo run --release -p experiments --bin overload_soak [SCALE] [SEEDS]

@@ -19,9 +19,12 @@
 //! * at the 4x points capacity pressure is real: evictions happened.
 //!
 //! The per-run counters (including the `oversub` block) are written to
-//! `BENCH_OVERSUB.json` (see `experiments::run_json`). The same matrix is
-//! committed declaratively as `scenarios/oversub_soak.scn` for the `scnd`
-//! experiment server.
+//! `BENCH_OVERSUB.json` (see `experiments::run_json`).
+//! `scenarios/oversub_soak.scn` writes the matrix declaratively but pins
+//! the fault-injector seeds to this bin's seed-1 values, where the bin
+//! derives them per run seed (`soak_fault_plans(seed)`); the file is part
+//! of the corpus `scn_check` compiles and the `scn` fuzz and round-trip
+//! tests read.
 //!
 //! ```sh
 //! cargo run --release -p experiments --bin oversub_soak [SCALE] [SEEDS]

@@ -4,8 +4,8 @@
 //! Each `figNN` module reproduces one figure: it builds the configurations,
 //! runs the simulator over the Table III applications (in parallel, averaged
 //! over seeds) and returns a [`Report`] whose rows mirror the figure's
-//! series. The `cargo bench` targets in the `transfw-bench` crate print
-//! these reports; EXPERIMENTS.md records paper-vs-measured values.
+//! series. `repro --only <id>` prints these reports; EXPERIMENTS.md records
+//! paper-vs-measured values.
 //!
 //! # Examples
 //!

@@ -5,9 +5,9 @@
 //! [`SystemConfig`] + workload pair; the four soak drivers had four private
 //! copies of the same construction (plus duplicated PRT/FT soak sizing and
 //! fault-plan matrices). A [`RunSpec`] is that construction, extracted: the
-//! bins build `RunSpec`s, the `.scn` scenario compiler lowers scenario
-//! cells into `RunSpec`s, and the `scnd` experiment server executes them —
-//! all through [`RunSpec::run`], which is the *only* spec-to-`System` path.
+//! bins build `RunSpec`s and the `.scn` scenario compiler lowers scenario
+//! cells into `RunSpec`s — both run through [`RunSpec::run`], which is the
+//! *only* spec-to-`System` path.
 //!
 //! # Examples
 //!

@@ -6,8 +6,8 @@
 //! those structs enforce as a positioned error*. That mirror is the
 //! front end's core contract: a scenario that compiles will not panic
 //! inside `SystemConfig::validate` or `WorkloadSpec::build` when it runs —
-//! which is what lets the `scnd` server accept scenarios from untrusted
-//! clients and the fuzz tests demand error-or-success, never a panic.
+//! which is what lets the fuzz tests demand error-or-success, never a
+//! panic.
 
 use std::collections::BTreeMap;
 

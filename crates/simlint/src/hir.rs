@@ -67,8 +67,8 @@ pub struct FnDef {
     /// Identifiers in the parameter list and return type.
     pub sig_idents: Vec<String>,
     /// Names bound by the parameter list itself (idents at paren depth 1
-    /// directly followed by `:`) — the roots a shard-confined fn may key
-    /// per-GPU accesses off.
+    /// directly followed by `:`) — the roots a flow analysis traces
+    /// values back to.
     pub param_names: Vec<String>,
     /// `let`/`for` bindings in the body: `(bound names, rhs idents)`.
     /// RHS idents record field/method accesses with a leading `.` (so a

@@ -10,8 +10,8 @@
 //!   sim-state crates; use `sim_core::det::{DetMap, DetSet}` (key-ordered,
 //!   identical iteration on every run) instead.
 //! * **`det-wallclock`** — no `Instant`/`SystemTime`/`thread_rng`/
-//!   `rand::random` anywhere outside the bench harness: simulation time is
-//!   [`Cycle`]s and randomness is the seeded `SimRng`, full stop.
+//!   `rand::random` outside inline-waived harness timing: simulation time
+//!   is [`Cycle`]s and randomness is the seeded `SimRng`, full stop.
 //! * **`panic-freedom`** — no `.unwrap()`/`.expect()`/direct indexing in
 //!   the event-loop hot paths (`mgpu::{system, recovery, placement,
 //!   host}`) outside `#[cfg(test)]`.
@@ -42,6 +42,10 @@
 //! * **`panic-reach`** — no `.unwrap()`/`.expect()` in any function the
 //!   protected mgpu hot paths can transitively reach, cross-crate
 //!   included.
+//! * **`epoch-digest-coverage`** — `digest-complete` made transitive:
+//!   every plain struct reachable through fields of the epoch
+//!   `StateDigest` root must have all its fields covered by the epoch
+//!   digest path.
 //!
 //! Violations are diffed against a checked-in ratchet file
 //! (`simlint.baseline.toml`, entries carry written justifications; new
@@ -69,7 +73,6 @@ pub mod hir;
 pub mod lexer;
 pub mod lints;
 pub mod passes;
-pub mod shard;
 pub mod symbols;
 
 use std::fmt;
@@ -83,7 +86,7 @@ pub use lints::{lint_file, lint_metrics};
 pub enum Lint {
     /// Raw `HashMap`/`HashSet` in a sim-state crate.
     DetCollections,
-    /// Wall-clock or ambient randomness outside the bench harness.
+    /// Wall-clock or ambient randomness outside waived harness timing.
     DetWallclock,
     /// `unwrap`/`expect`/indexing in an event-loop hot path.
     PanicFreedom,
@@ -101,15 +104,9 @@ pub enum Lint {
     CounterSaturation,
     /// A panic site reachable from the protected mgpu hot paths.
     PanicReach,
-    /// A fn touching per-GPU component state keyed by more than one (or
-    /// no) `GpuId`, outside the designated boundary modules.
-    ShardConfinement,
     /// A struct reachable through the epoch `StateDigest` with a field
     /// that never flows into any digest path.
     EpochDigestCoverage,
-    /// A `DetMap`/`DetSet` iteration closure mutating captured sim state
-    /// outside the iterated map.
-    OrderDependentIteration,
 }
 
 impl Lint {
@@ -126,9 +123,7 @@ impl Lint {
             Lint::RngStream => "rng-stream-discipline",
             Lint::CounterSaturation => "counter-saturation",
             Lint::PanicReach => "panic-reach",
-            Lint::ShardConfinement => "shard-confinement",
             Lint::EpochDigestCoverage => "epoch-digest-coverage",
-            Lint::OrderDependentIteration => "order-dependent-iteration",
         }
     }
 
@@ -145,18 +140,15 @@ impl Lint {
             "rng-stream-discipline" => Lint::RngStream,
             "counter-saturation" => Lint::CounterSaturation,
             "panic-reach" => Lint::PanicReach,
-            "shard-confinement" => Lint::ShardConfinement,
             "epoch-digest-coverage" => Lint::EpochDigestCoverage,
-            "order-dependent-iteration" => Lint::OrderDependentIteration,
             _ => return None,
         })
     }
 
     /// Whether the lint guards determinism (the class the acceptance
-    /// criteria require a zero-entry baseline for). The shard-safety
-    /// classes belong here: an unconfined cross-shard access or an
-    /// uncovered epoch field breaks bit-identity under the parallel
-    /// engine just as surely as a raw `HashMap` does sequentially.
+    /// criteria require a zero-entry baseline for). An uncovered epoch
+    /// field breaks checkpoint/restore bit-identity just as surely as a
+    /// raw `HashMap` breaks run-to-run identity.
     pub fn is_determinism_class(self) -> bool {
         matches!(
             self,
@@ -164,14 +156,12 @@ impl Lint {
                 | Lint::DetWallclock
                 | Lint::DigestComplete
                 | Lint::RngStream
-                | Lint::ShardConfinement
                 | Lint::EpochDigestCoverage
-                | Lint::OrderDependentIteration
         )
     }
 
     /// Every lint, for `--list`-style output.
-    pub fn all() -> [Lint; 13] {
+    pub fn all() -> [Lint; 11] {
         [
             Lint::DetCollections,
             Lint::DetWallclock,
@@ -183,9 +173,7 @@ impl Lint {
             Lint::RngStream,
             Lint::CounterSaturation,
             Lint::PanicReach,
-            Lint::ShardConfinement,
             Lint::EpochDigestCoverage,
-            Lint::OrderDependentIteration,
         ]
     }
 }
@@ -257,8 +245,6 @@ pub struct Config {
     /// Crate dirs whose non-test code models simulator state: raw hash
     /// collections are forbidden here.
     pub sim_state_crates: Vec<String>,
-    /// Crate dirs exempt from every lint (the bench harness).
-    pub exempt_crates: Vec<String>,
     /// Hot-path files under the panic-freedom lint.
     pub hot_path_files: Vec<String>,
     /// Protocol enums whose matches must be exhaustive.
@@ -285,14 +271,6 @@ pub struct Config {
     pub rng_home: String,
     /// Crate dirs the panic-reach call graph spans.
     pub reach_crates: Vec<String>,
-    /// Names of containers indexed by GPU id (`self.<name>[g]` or
-    /// `.get(g)`): accesses into these are what shard confinement tracks.
-    pub per_gpu_containers: Vec<String>,
-    /// Crate dirs under the shard-confinement analysis.
-    pub shard_crates: Vec<String>,
-    /// Path prefixes where cross-shard access is legal (the forwarding
-    /// protocol, recovery, placement, the fabric, and the epoch layer).
-    pub shard_boundary_modules: Vec<String>,
     /// `(file, fn)` of the epoch digest root the transitive coverage
     /// audit starts from.
     pub epoch_root: (String, String),
@@ -308,12 +286,11 @@ impl Config {
         let c = |s: &str| format!("crates/{s}");
         Self {
             sim_state_crates: [
-                "core", "cuckoo", "tlb", "ptw", "uvm", "mgpu", "sim-core", "scn", "scnd",
+                "core", "cuckoo", "tlb", "ptw", "uvm", "mgpu", "sim-core", "scn",
             ]
             .iter()
             .map(|s| c(s))
             .collect(),
-            exempt_crates: vec![c("bench")],
             hot_path_files: ["system", "recovery", "placement", "host"]
                 .iter()
                 .map(|s| format!("crates/mgpu/src/{s}.rs"))
@@ -343,7 +320,7 @@ impl Config {
             .map(|s| c(s))
             .collect(),
             rng_home: c("sim-core/src/rng.rs"),
-            // scn/scnd deliberately excluded: their generic `run`/`parse`
+            // scn deliberately excluded: its generic `run`/`parse`
             // helper names would pollute name-based call resolution.
             reach_crates: [
                 "core",
@@ -355,35 +332,6 @@ impl Config {
                 "sim-core",
                 "interconnect",
                 "workloads",
-            ]
-            .iter()
-            .map(|s| c(s))
-            .collect(),
-            per_gpu_containers: [
-                "gpus",
-                "offline_until",
-                "retry",
-                "gpu_queue_gates",
-                "mshr_gates",
-                "breakers",
-                "gates",
-                "refaults",
-                "recently_evicted",
-                "resident",
-            ]
-            .iter()
-            .map(|s| (*s).to_string())
-            .collect(),
-            shard_crates: ["core", "tlb", "ptw", "uvm", "mgpu", "interconnect"]
-                .iter()
-                .map(|s| c(s))
-                .collect(),
-            shard_boundary_modules: [
-                "mgpu/src/protocol",
-                "mgpu/src/recovery.rs",
-                "mgpu/src/placement.rs",
-                "mgpu/src/system.rs",
-                "interconnect/src",
             ]
             .iter()
             .map(|s| c(s))
@@ -438,10 +386,6 @@ pub struct Report {
     pub violations: Vec<Violation>,
     /// Violations waived by a `simlint::allow` directive.
     pub waived: Vec<Violation>,
-    /// Every cross-shard access site with its disposition — the shard
-    /// boundary contract (`shard_boundary.json`) the parallel engine
-    /// builds against. Sorted by (file, line, kind, what).
-    pub shard_sites: Vec<shard::ShardSite>,
     /// Files scanned.
     pub files_scanned: usize,
 }
@@ -453,7 +397,7 @@ pub struct Report {
 /// Returns a message when the workspace cannot be read (missing root, or
 /// an unreadable source file).
 pub fn run_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
-    let files = workspace_rs_files(root, cfg)?;
+    let files = workspace_rs_files(root)?;
     let mut sources = Vec::with_capacity(files.len());
     for rel in &files {
         let abs = root.join(rel);
@@ -510,39 +454,20 @@ pub fn run_sources(sources: &[(FileCtx, String)], cfg: &Config) -> Report {
             report.violations.push(v);
         }
     }
-    // Shard-safety layer: confinement, epoch coverage, iteration order.
-    // Waived confinement findings still land in the boundary report (as
-    // disposition `waived`) so the contract stays complete.
-    let shard_out = shard::analyze(&ws, cfg);
-    report.shard_sites = shard_out.sites;
-    for v in shard_out.violations {
-        if is_waived(&v) {
-            if v.lint == Lint::ShardConfinement {
-                report.shard_sites.push(shard::ShardSite::waived_from(&v));
-            }
-            report.waived.push(v);
-        } else {
-            report.violations.push(v);
-        }
-    }
-    // Deterministic output order, whatever the directory walk produced —
-    // violations, waived findings and the boundary contract alike, so
-    // archived CI reports diff cleanly across runs.
+    // Deterministic output order, whatever the directory walk produced,
+    // so archived CI reports diff cleanly across runs.
     let by_site =
         |a: &Violation, b: &Violation| (&a.file, a.line, a.lint, &a.key).cmp(&(&b.file, b.line, b.lint, &b.key));
     report.violations.sort_by(by_site);
     report.waived.sort_by(by_site);
     report
-        .shard_sites
-        .sort_by(|a, b| (&a.file, a.line, &a.kind, &a.what).cmp(&(&b.file, b.line, &b.kind, &b.what)));
-    report
 }
 
 /// Collects the workspace-relative paths of every `.rs` file the linter
-/// scans: `crates/*/{src,tests,examples,benches}` plus the repository-root
+/// scans: `crates/*/{src,tests,examples}` plus the repository-root
 /// `tests/` and `examples/` (mounted into the facade crate), skipping
-/// exempt crates and lint-test fixture dirs.
-pub fn workspace_rs_files(root: &Path, cfg: &Config) -> Result<Vec<String>, String> {
+/// lint-test fixture dirs.
+pub fn workspace_rs_files(root: &Path) -> Result<Vec<String>, String> {
     let mut out = Vec::new();
     let crates_dir = root.join("crates");
     let entries = std::fs::read_dir(&crates_dir)
@@ -554,11 +479,7 @@ pub fn workspace_rs_files(root: &Path, cfg: &Config) -> Result<Vec<String>, Stri
         .collect();
     crate_dirs.sort();
     for dir in crate_dirs {
-        let rel_crate = rel_to(root, &dir);
-        if cfg.exempt_crates.contains(&rel_crate) {
-            continue;
-        }
-        for sub in ["src", "tests", "examples", "benches"] {
+        for sub in ["src", "tests", "examples"] {
             collect_rs(root, &dir.join(sub), &mut out);
         }
     }
@@ -620,14 +541,12 @@ mod tests {
     }
 
     #[test]
-    fn determinism_class_covers_det_digest_rng_and_shard() {
+    fn determinism_class_covers_det_digest_rng_and_epoch() {
         assert!(Lint::DetCollections.is_determinism_class());
         assert!(Lint::DetWallclock.is_determinism_class());
         assert!(Lint::DigestComplete.is_determinism_class());
         assert!(Lint::RngStream.is_determinism_class());
-        assert!(Lint::ShardConfinement.is_determinism_class());
         assert!(Lint::EpochDigestCoverage.is_determinism_class());
-        assert!(Lint::OrderDependentIteration.is_determinism_class());
         assert!(!Lint::PanicFreedom.is_determinism_class());
         assert!(!Lint::ProtocolExhaustive.is_determinism_class());
         assert!(!Lint::MetricsComplete.is_determinism_class());

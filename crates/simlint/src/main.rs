@@ -7,15 +7,12 @@
 //! cargo run -p simlint -- --write-bench     # append a findings snapshot to BENCH_LINT.json
 //! cargo run -p simlint -- --check-bench     # diff per-lint counts against the last snapshot
 //! cargo run -p simlint -- --write-baseline  # regenerate the baseline (justifications = TODO)
-//! cargo run -p simlint -- --write-shard-report  # regenerate shard_boundary.json
-//! cargo run -p simlint -- --check-shard-report  # diff the contract against the committed copy
 //! cargo run -p simlint -- --root /path --baseline other.toml
 //! ```
 //!
 //! Exit codes: 0 clean (all findings baselined/waived), 1 new violations,
 //! stale entries under `--deny-stale`, a bench regression under
-//! `--check-bench`, a shard-contract drift under `--check-shard-report`,
-//! or a broken baseline file; 2 usage error.
+//! `--check-bench`, or a broken baseline file; 2 usage error.
 
 use simlint::{Baseline, Config, Lint, Report};
 use std::collections::BTreeMap;
@@ -31,8 +28,6 @@ struct Args {
     deny_stale: bool,
     write_bench: bool,
     check_bench: bool,
-    write_shard_report: bool,
-    check_shard_report: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -44,8 +39,6 @@ fn parse_args() -> Result<Args, String> {
     let mut deny_stale = false;
     let mut write_bench = false;
     let mut check_bench = false;
-    let mut write_shard_report = false;
-    let mut check_shard_report = false;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
@@ -61,14 +54,11 @@ fn parse_args() -> Result<Args, String> {
             "--deny-stale" => deny_stale = true,
             "--write-bench" => write_bench = true,
             "--check-bench" => check_bench = true,
-            "--write-shard-report" => write_shard_report = true,
-            "--check-shard-report" => check_shard_report = true,
             "--help" | "-h" => {
                 println!(
                     "simlint — workspace determinism & protocol linter\n\n\
                      USAGE: simlint [--root DIR] [--baseline FILE] [--write-baseline]\n\
-                     \x20              [--json] [--deny-stale] [--write-bench] [--check-bench]\n\
-                     \x20              [--write-shard-report] [--check-shard-report] [-v]\n\n\
+                     \x20              [--json] [--deny-stale] [--write-bench] [--check-bench] [-v]\n\n\
                      Lints:"
                 );
                 for lint in Lint::all() {
@@ -104,8 +94,6 @@ fn parse_args() -> Result<Args, String> {
         deny_stale,
         write_bench,
         check_bench,
-        write_shard_report,
-        check_shard_report,
     })
 }
 
@@ -272,41 +260,6 @@ fn main() -> ExitCode {
 
     let diff = baseline.diff(&report.violations);
     let bench_path = args.root.join("BENCH_LINT.json");
-    let shard_path = args.root.join("shard_boundary.json");
-
-    if args.write_shard_report {
-        let rendered = simlint::shard::render_report(&report.shard_sites);
-        if let Err(e) = std::fs::write(&shard_path, &rendered) {
-            eprintln!("simlint: write {}: {e}", shard_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "simlint: wrote {} boundary sites to {}",
-            report.shard_sites.len(),
-            shard_path.display()
-        );
-    }
-
-    let mut shard_drift = false;
-    if args.check_shard_report {
-        let rendered = simlint::shard::render_report(&report.shard_sites);
-        match std::fs::read_to_string(&shard_path) {
-            Ok(committed) if committed == rendered => {}
-            Ok(_) => {
-                eprintln!(
-                    "shard contract drift: {} no longer matches the analysis \
-                     (run --write-shard-report and review the diff — every \
-                     change to the cross-shard surface is a contract change)",
-                    shard_path.display()
-                );
-                shard_drift = true;
-            }
-            Err(e) => {
-                eprintln!("simlint: read {}: {e}", shard_path.display());
-                shard_drift = true;
-            }
-        }
-    }
 
     if args.write_bench {
         let existing = std::fs::read_to_string(&bench_path).unwrap_or_default();
@@ -389,7 +342,7 @@ fn main() -> ExitCode {
     if stale_fails && args.json {
         eprintln!("simlint: {} stale baseline entries (--deny-stale)", diff.stale.len());
     }
-    if diff.new.is_empty() && !stale_fails && !bench_regressed && !shard_drift {
+    if diff.new.is_empty() && !stale_fails && !bench_regressed {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

@@ -189,8 +189,8 @@ mod tests {
     fn trait_object_calls_resolve_by_name() {
         // `p.decide()` through `Box<dyn Policy>` has no static receiver
         // type; name-based resolution must conservatively edge into every
-        // same-named method so reachability (panic-reach, the shard
-        // confinement contract) over-approximates rather than misses.
+        // same-named method so reachability (panic-reach) over-approximates
+        // rather than misses.
         let w = ws(&[(
             "crates/mgpu/src/lib.rs",
             "trait Policy { fn decide(&mut self); }\n\
